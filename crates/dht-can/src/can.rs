@@ -270,6 +270,32 @@ impl CanNet {
         self.tree[node].zone.expect("leaves carry live zones")
     }
 
+    /// The live zones whose rectangles intersect any of `boxes` (with
+    /// positive area), in ascending id order, written into `out` (cleared
+    /// first). Costs `O(|out| · tree depth · |boxes|)`, not `O(N)`.
+    pub fn zones_intersecting(&self, boxes: &[Rect], out: &mut Vec<NodeId>) {
+        out.clear();
+        self.collect_intersecting(0, boxes, out);
+        out.sort_unstable();
+    }
+
+    /// The pruned descent behind [`zones_intersecting`](Self::zones_intersecting):
+    /// a subtree whose rectangle misses every box holds no intersecting
+    /// leaf, because its rectangle is the union of its leaves'.
+    fn collect_intersecting(&self, node: usize, boxes: &[Rect], out: &mut Vec<NodeId>) {
+        let n = &self.tree[node];
+        if !boxes.iter().any(|b| n.rect.intersects(b)) {
+            return;
+        }
+        match n.kids {
+            Some((a, b)) => {
+                self.collect_intersecting(a, boxes, out);
+                self.collect_intersecting(b, boxes, out);
+            }
+            None => out.push(n.zone.expect("leaves carry live zones")),
+        }
+    }
+
     /// The `r` distinct zones that should hold copies of `value`'s record:
     /// the owning zone plus its nearest neighbors, breadth-first over the
     /// adjacency lists — the CAN close group over rectangles. Deterministic

@@ -18,11 +18,21 @@
 //! Delay = median-routing hops + flood eccentricity. Both grow with `√N`,
 //! and the second also grows with the queried range — the behaviour the
 //! Armada paper's Figures 5 and 7 contrast with PIRA.
+//!
+//! # Host cost
+//!
+//! A query costs host time in its output, not in `N`:
+//!
+//! * the ground-truth zone set comes from a pruned descent of the CAN
+//!   split tree ([`CanNet::zones_intersecting`]): `O(|truth| · tree depth)`;
+//! * a flood hop tests each neighbor against the sorted truth by binary
+//!   search and, when directed, walks its branch's informed-set chain:
+//!   `O(neighbors · chain length)`;
+//! * informed sets live in a per-query parent-linked arena and every other
+//!   buffer in the reusable scratch, so no hop allocates.
 
 use crate::{CanError, CanNet, Rect};
 use simnet::{Envelope, FaultPlan, NetModel, NodeId, QueryScratch, Sim, SimScratch};
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Duplicate-suppression strategy for the flooding phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +65,60 @@ pub struct DcfOutcome {
     pub exact: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum DcfMsg {
     /// Greedy routing toward the median point.
     Route,
-    /// Flooding phase; `informed` = zones this branch already covered.
-    /// Shared by reference across a hop's fan-out, so forwarding clones a
-    /// refcount instead of the whole set.
-    Flood { informed: Arc<Vec<NodeId>> },
+    /// Flooding phase; `informed` is the link, in the query's
+    /// [`InformedSets`], of the zones this branch already covered.
+    Flood { informed: u32 },
+}
+
+/// One link of an informed set: `ids[start..end]` added to `parent`'s set.
+#[derive(Debug, Clone, Copy)]
+struct InformedLink {
+    parent: Option<u32>,
+    start: usize,
+    end: usize,
+}
+
+/// The directed flood's informed sets as a per-query parent-linked arena.
+/// A forwarding hop appends its targets once as a new link, and its whole
+/// fan-out carries that link's index, so no hop copies, sorts or allocates
+/// a set.
+#[derive(Default)]
+struct InformedSets {
+    links: Vec<InformedLink>,
+    ids: Vec<NodeId>,
+}
+
+impl InformedSets {
+    fn clear(&mut self) {
+        self.links.clear();
+        self.ids.clear();
+    }
+
+    /// Adds the set `parent ∪ members`; returns its link index.
+    fn push(&mut self, parent: Option<u32>, members: &[NodeId]) -> u32 {
+        let start = self.ids.len();
+        self.ids.extend_from_slice(members);
+        let index = u32::try_from(self.links.len()).expect("fewer than 2³² flood hops per query");
+        self.links.push(InformedLink { parent, start, end: self.ids.len() });
+        index
+    }
+
+    /// Whether `zone` is in the set of `link`: walks the parent chain.
+    fn contains(&self, link: u32, zone: NodeId) -> bool {
+        let mut cur = Some(link);
+        while let Some(l) = cur {
+            let InformedLink { parent, start, end } = self.links[l as usize];
+            if self.ids[start..end].contains(&zone) {
+                return true;
+            }
+            cur = parent;
+        }
+        false
+    }
 }
 
 /// DCF's reusable per-thread state, slotted into a [`QueryScratch`]. Every
@@ -74,14 +130,22 @@ struct DcfScratch {
     arrivals: Vec<(NodeId, u64)>,
     boxes: Vec<Rect>,
     targets: Vec<NodeId>,
+    /// Ground truth: the live zones intersecting the query's image,
+    /// ascending.
+    truth: Vec<NodeId>,
+    /// `visited[i]`: whether `truth[i]` has answered.
+    visited: Vec<bool>,
+    /// Matching handles, sorted and deduped once the flood ends.
+    results: Vec<u64>,
+    informed: InformedSets,
 }
 
 /// Executes a DCF range query from `origin` over `[lo, hi]`.
 ///
 /// # Errors
 ///
-/// Returns [`CanError::EmptyRange`] if `lo > hi` and
-/// [`CanError::NoSuchZone`] for dead origins.
+/// Returns [`CanError::EmptyRange`] if `lo > hi` or either bound is NaN,
+/// and [`CanError::NoSuchZone`] for dead origins.
 pub fn range_query(
     net: &CanNet,
     origin: NodeId,
@@ -196,13 +260,22 @@ fn query_impl(
     trace: bool,
     scratch: &mut QueryScratch,
 ) -> Result<(DcfOutcome, Option<Vec<simnet::TraceRecord>>), CanError> {
-    if lo > hi {
+    if lo.is_nan() || hi.is_nan() || lo > hi {
         return Err(CanError::EmptyRange { lo, hi });
     }
     net.zone(origin)?;
     let order = net.config().hilbert_order;
 
-    let DcfScratch { sim: sim_scratch, arrivals, boxes, targets } = scratch.slot::<DcfScratch>();
+    let DcfScratch {
+        sim: sim_scratch,
+        arrivals,
+        boxes,
+        targets,
+        truth,
+        visited,
+        results,
+        informed,
+    } = scratch.slot::<DcfScratch>();
 
     // The query's image: curve cells of the normalised range, decomposed
     // into aligned squares.
@@ -210,18 +283,16 @@ fn query_impl(
     let tb = crate::hilbert::cell_of(order, net.normalize(hi));
     boxes.clear();
     boxes.extend(
-        crate::hilbert::interval_blocks(order, ta, tb)
-            .into_iter()
-            .map(|b| b.to_unit_rect(order)),
+        crate::hilbert::interval_blocks(order, ta, tb).into_iter().map(|b| b.to_unit_rect(order)),
     );
-    let boxes: &[Rect] = boxes;
-    let hits = |zone: NodeId| -> bool {
-        let r = net.zone(zone).expect("live zone").rect();
-        boxes.iter().any(|b| r.intersects(b))
-    };
 
-    // Ground truth.
-    let truth: BTreeSet<NodeId> = net.live_zones().filter(|&z| hits(z)).collect();
+    // Ground truth. Flood messages only reach live zones, so a zone's
+    // position in `truth` answers both "does it intersect the image" and
+    // "has it answered yet".
+    net.zones_intersecting(boxes, truth);
+    let truth: &[NodeId] = truth;
+    visited.clear();
+    visited.resize(truth.len(), false);
 
     // Median target point.
     let (mx, my) = net.point_of_value((lo + hi) / 2.0);
@@ -233,19 +304,17 @@ fn query_impl(
     }
     sim.send(origin, origin, 0, DcfMsg::Route);
 
-    let mut answered: BTreeSet<NodeId> = BTreeSet::new();
     // Flat arrival log reduced by a sorted post-pass (min cost per zone,
     // max over zones — order-independent, since scheduling stays on unit
     // ticks and the cost model rides along in the envelopes).
     arrivals.clear();
-    let mut results: BTreeSet<u64> = BTreeSet::new();
+    results.clear();
+    informed.clear();
+    let mut reached = 0usize;
     let mut delay: u32 = 0;
-    // Naive floods carry an empty informed set: one shared allocation per
-    // query, refcount-cloned into every forward.
-    let empty_informed: Arc<Vec<NodeId>> = Arc::new(Vec::new());
     sim.run(|sim, env: Envelope<DcfMsg>| {
         let node = env.to;
-        match &env.payload {
+        match env.payload {
             DcfMsg::Route => {
                 let rect = net.zone(node).expect("live").rect();
                 if rect.torus_dist2(mx, my) > 0.0 {
@@ -265,72 +334,61 @@ fn query_impl(
                     // Arrived at the median zone: switch to flooding by
                     // re-delivering locally as a flood message (carrying
                     // the routing phase's accumulated cost).
-                    let informed = Arc::new(vec![node]);
-                    sim.send_with_cost(node, node, env.hop, env.cost, DcfMsg::Flood { informed });
+                    let root = informed.push(None, &[node]);
+                    let flood = DcfMsg::Flood { informed: root };
+                    sim.send_with_cost(node, node, env.hop, env.cost, flood);
                 }
             }
-            DcfMsg::Flood { informed } => {
-                if !hits(node) {
+            DcfMsg::Flood { informed: link } => {
+                let Ok(i) = truth.binary_search(&node) else {
                     return;
-                }
+                };
                 arrivals.push((node, env.cost));
                 sim.trace_answer(&env);
-                let first_visit = answered.insert(node);
-                if first_visit {
-                    delay = delay.max(env.hop);
-                    for &(v, h) in net.zone(node).expect("live").records() {
-                        if v >= lo && v <= hi {
-                            results.insert(h);
-                        }
-                    }
-                } else if mode == FloodMode::Naive {
-                    // Receiver-side dedup: do not re-forward.
-                    return;
-                } else if mode == FloodMode::Directed && !first_visit {
+                // Repeat visits never re-forward: naive floods dedup at the
+                // receiver, and a directed branch stops where another
+                // branch already passed.
+                if std::mem::replace(&mut visited[i], true) {
                     return;
                 }
-                targets.clear();
-                targets.extend(
-                    net.neighbors(node).iter().copied().filter(|&n| hits(n)).filter(|n| {
-                        match mode {
-                            FloodMode::Directed => !informed.contains(n),
-                            FloodMode::Naive => true,
-                        }
-                    }),
-                );
-                let new_informed: Arc<Vec<NodeId>> = match mode {
-                    FloodMode::Directed => {
-                        let mut v = Vec::with_capacity(informed.len() + targets.len());
-                        v.extend_from_slice(informed);
-                        v.extend(targets.iter());
-                        v.sort_unstable();
-                        v.dedup();
-                        Arc::new(v)
+                reached += 1;
+                delay = delay.max(env.hop);
+                for &(v, h) in net.zone(node).expect("live").records() {
+                    if v >= lo && v <= hi {
+                        results.push(h);
                     }
-                    FloodMode::Naive => Arc::clone(&empty_informed),
+                }
+                targets.clear();
+                targets.extend(net.neighbors(node).iter().copied().filter(|&n| {
+                    truth.binary_search(&n).is_ok()
+                        && (mode == FloodMode::Naive || !informed.contains(link, n))
+                }));
+                let next = match mode {
+                    FloodMode::Directed => informed.push(Some(link), targets),
+                    FloodMode::Naive => link,
                 };
                 for &t in targets.iter() {
-                    sim.forward(&env, t, DcfMsg::Flood { informed: Arc::clone(&new_informed) });
+                    sim.forward(&env, t, DcfMsg::Flood { informed: next });
                 }
             }
         }
     });
 
-    let reached = answered.len();
-    let exact = answered == truth;
+    results.sort_unstable();
+    results.dedup();
     let latency = simnet::last_first_arrival(arrivals);
     let records = sim.take_trace().map(simnet::TraceSink::into_records);
     let messages = sim.stats().messages_sent;
     sim.recycle(sim_scratch);
     Ok((
         DcfOutcome {
-            results: results.into_iter().collect(),
+            results: results.clone(),
             delay,
             latency,
             messages,
             dest_zones: truth.len(),
             reached_zones: reached,
-            exact,
+            exact: reached == truth.len(),
         },
         records,
     ))
@@ -430,11 +488,47 @@ mod tests {
 
     #[test]
     fn dcf_rejects_empty_range() {
+        // A NaN bound orders neither way, so it is empty too — never a
+        // panic in the Hilbert decomposition, never an "exact" empty answer.
         let net = build(10, 0, 95);
-        assert!(matches!(
-            range_query(&net, 0, 5.0, 1.0, 1, FloodMode::Directed),
-            Err(CanError::EmptyRange { .. })
-        ));
+        for mode in [FloodMode::Directed, FloodMode::Naive] {
+            for (lo, hi) in [(5.0, 1.0), (10.0, f64::NAN), (f64::NAN, 10.0), (f64::NAN, f64::NAN)] {
+                assert!(
+                    matches!(
+                        range_query(&net, 0, lo, hi, 1, mode),
+                        Err(CanError::EmptyRange { .. })
+                    ),
+                    "{mode:?} [{lo}, {hi}] must be rejected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dest_zones_equal_the_linear_scan_in_both_modes() {
+        let net = build(400, 100, 98);
+        let order = net.config().hilbert_order;
+        let mut rng = simnet::rng_from_seed(980);
+        for q in 0..40 {
+            let lo: f64 = rng.gen_range(0.0..1000.0);
+            let hi = (lo + rng.gen_range(0.0..400.0f64)).min(1000.0);
+            let ta = crate::hilbert::cell_of(order, net.normalize(lo));
+            let tb = crate::hilbert::cell_of(order, net.normalize(hi));
+            let boxes: Vec<Rect> = crate::hilbert::interval_blocks(order, ta, tb)
+                .into_iter()
+                .map(|b| b.to_unit_rect(order))
+                .collect();
+            let scan = net
+                .live_zones()
+                .filter(|&z| boxes.iter().any(|b| net.zone(z).unwrap().rect().intersects(b)))
+                .count();
+            let origin = net.random_zone(&mut rng);
+            for mode in [FloodMode::Directed, FloodMode::Naive] {
+                let out = range_query(&net, origin, lo, hi, q, mode).unwrap();
+                assert_eq!(out.dest_zones, scan, "{mode:?} [{lo}, {hi}]");
+                assert_eq!(out.reached_zones, scan, "{mode:?} [{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]

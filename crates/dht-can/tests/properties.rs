@@ -1,8 +1,9 @@
 //! Property tests: Hilbert-curve invariants, CAN tiling under arbitrary
-//! growth, and DCF exactness on random workloads.
+//! growth, split-tree range descent against the linear scan, and DCF
+//! exactness on random workloads.
 
 use dht_can::dcf::{self, FloodMode};
-use dht_can::{hilbert, CanConfig, CanNet};
+use dht_can::{hilbert, CanConfig, CanNet, Rect};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -63,6 +64,54 @@ proptest! {
             seen.dedup();
             prop_assert_eq!(seen.len(), path.len());
         }
+    }
+
+    #[test]
+    fn zones_intersecting_equals_the_linear_scan(
+        n in 1usize..200,
+        seed in 0u64..10_000,
+        order in 1u32..12,
+        ends in proptest::collection::vec(any::<u64>(), 2..8),
+    ) {
+        let mut rng = simnet::rng_from_seed(seed);
+        let mut net = CanNet::build(CanConfig::default(), n, &mut rng).unwrap();
+        // Random box sets: the blocks of a few random curve intervals.
+        let total = 1u64 << (2 * order);
+        let boxes: Vec<Rect> = ends
+            .chunks_exact(2)
+            .flat_map(|pair| {
+                let (a, b) = (pair[0] % total, pair[1] % total);
+                hilbert::interval_blocks(order, a.min(b), a.max(b))
+            })
+            .map(|blk| blk.to_unit_rect(order))
+            .collect();
+        let scan = |net: &CanNet| -> Vec<usize> {
+            net.live_zones()
+                .filter(|&z| boxes.iter().any(|b| net.zone(z).unwrap().rect().intersects(b)))
+                .collect()
+        };
+        let mut got = Vec::new();
+        net.zones_intersecting(&boxes, &mut got);
+        prop_assert_eq!(&got, &scan(&net));
+        // A join/leave/crash storm merges tree nodes and recycles both zone
+        // slots and tree-arena entries; the descent must still agree.
+        for i in 0..n {
+            match i % 3 {
+                0 => {
+                    net.join(&mut rng);
+                }
+                1 => {
+                    let victim = net.random_zone(&mut rng);
+                    let _ = net.leave(victim);
+                }
+                _ => {
+                    let victim = net.random_zone(&mut rng);
+                    let _ = net.crash(victim);
+                }
+            }
+        }
+        net.zones_intersecting(&boxes, &mut got);
+        prop_assert_eq!(&got, &scan(&net));
     }
 
     #[test]

@@ -254,3 +254,27 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn dcf_family_rejects_nan_bounds() {
+    // A NaN bound orders neither way against the other bound; it must be
+    // refused as an empty range, never panic inside the Hilbert
+    // decomposition or come back as an "exact" empty answer.
+    let registry = standard_registry();
+    let params = BuildParams::new(60, DOMAIN.0, DOMAIN.1);
+    for name in ["dcf-can", "dcf-can-naive", "dcf-can+r3", "dcf-can+r3@lossy-p/r2"] {
+        let mut rng = simnet::rng_from_seed(0x9a9);
+        let mut scheme = registry.build_single(name, &params, &mut rng).expect("build");
+        for h in 0..60u64 {
+            scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).expect("publish");
+        }
+        let origin = scheme.random_origin(&mut rng);
+        let mut scratch = simnet::QueryScratch::new();
+        for (lo, hi) in [(10.0, f64::NAN), (f64::NAN, 10.0), (f64::NAN, f64::NAN)] {
+            let plain = scheme.range_query(origin, lo, hi, 1);
+            assert!(plain.is_err(), "{name} [{lo}, {hi}]: got {plain:?}");
+            let scratched = scheme.range_query_scratch(origin, lo, hi, 1, &mut scratch);
+            assert!(scratched.is_err(), "{name} [{lo}, {hi}]: got {scratched:?} (scratch)");
+        }
+    }
+}
