@@ -91,9 +91,8 @@ pub(crate) fn query(
 
     let MiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift, wbuf, zone, wrect } =
         scratch.slot::<MiraScratch>();
-    let mut sim: Sim<MiraMsg> = Sim::from_scratch(seed, sim_scratch)
-        .with_faults_ref(faults)
-        .with_net(*armada.net_model());
+    let mut sim: Sim<MiraMsg> =
+        Sim::from_scratch(seed, sim_scratch).with_faults_ref(faults).with_net(*armada.net_model());
     subs.clear();
     for sub in corner.split_by_common_prefix() {
         let com_t = sub.common_prefix();

@@ -135,9 +135,8 @@ fn query_impl(
 
     let PiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift } =
         scratch.slot::<PiraScratch>();
-    let mut sim: Sim<PiraMsg> = Sim::from_scratch(seed, sim_scratch)
-        .with_faults_ref(faults)
-        .with_net(*armada.net_model());
+    let mut sim: Sim<PiraMsg> =
+        Sim::from_scratch(seed, sim_scratch).with_faults_ref(faults).with_net(*armada.net_model());
     if trace {
         sim = sim.with_trace(simnet::TraceSink::new());
     }

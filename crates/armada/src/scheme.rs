@@ -63,6 +63,15 @@ impl From<QueryOutcome> for RangeOutcome {
     }
 }
 
+/// Rejects a range that holds no value: `lo > hi`, or a NaN bound (NaN
+/// orders against nothing, so no value lies between it and the other bound).
+fn check_range(lo: f64, hi: f64) -> Result<(), SchemeError> {
+    if lo > hi || lo.is_nan() || hi.is_nan() {
+        return Err(SchemeError::EmptyRange { lo, hi });
+    }
+    Ok(())
+}
+
 /// Remaps a native outcome's `RecordId` results through a handle table.
 fn remap(out: QueryOutcome, handles: &[u64]) -> RangeOutcome {
     let mut converted = out.into_outcome();
@@ -153,9 +162,7 @@ impl RangeScheme for PiraScheme {
         hi: f64,
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        check_range(lo, hi)?;
         let out = self.inner.pira_query(origin, lo, hi, seed)?;
         Ok(remap(out, &self.handles))
     }
@@ -168,9 +175,7 @@ impl RangeScheme for PiraScheme {
         seed: u64,
         scratch: &mut simnet::QueryScratch,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        check_range(lo, hi)?;
         let out = self.inner.pira_query_scratch(origin, lo, hi, seed, scratch)?;
         Ok(remap(out, &self.handles))
     }
@@ -187,9 +192,7 @@ impl RangeScheme for PiraScheme {
         seed: u64,
         faults: &FaultPlan,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        check_range(lo, hi)?;
         // A plan crashing a peer outside the id space would silently be a
         // no-op (nothing routes to it); reject it instead.
         if let Some(node) = faults.first_out_of_range(self.node_count()) {
@@ -210,9 +213,7 @@ impl RangeScheme for PiraScheme {
         hi: f64,
         seed: u64,
     ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        check_range(lo, hi)?;
         let (out, records) = self.inner.pira_query_traced(origin, lo, hi, seed)?;
         let converted = remap(out, &self.handles);
         let trace = dht_api::QueryTrace::from_sim_records("pira", records, &converted);
@@ -227,9 +228,7 @@ impl RangeScheme for PiraScheme {
         seed: u64,
         faults: &FaultPlan,
     ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        check_range(lo, hi)?;
         if let Some(node) = faults.first_out_of_range(self.node_count()) {
             return Err(SchemeError::FaultPlanOutOfRange { node, n: self.node_count() });
         }
@@ -385,9 +384,7 @@ impl RangeScheme for SeqWalkScheme {
         hi: f64,
         _seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        check_range(lo, hi)?;
         let out = crate::seqwalk::query(&self.inner, origin, lo, hi)?;
         Ok(remap(out, &self.handles))
     }
@@ -403,9 +400,7 @@ impl RangeScheme for SeqWalkScheme {
         hi: f64,
         _seed: u64,
     ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        check_range(lo, hi)?;
         let (out, records) = crate::seqwalk::query_traced(&self.inner, origin, lo, hi)?;
         let converted = remap(out, &self.handles);
         let trace = dht_api::QueryTrace::from_sim_records("seqwalk", records, &converted);
@@ -493,9 +488,7 @@ impl MultiRangeScheme for MiraScheme {
         if rect.len() != self.dims {
             return Err(SchemeError::WrongArity { expected: self.dims, got: rect.len() });
         }
-        if let Some(&(lo, hi)) = rect.iter().find(|&&(lo, hi)| lo > hi) {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        rect.iter().try_for_each(|&(lo, hi)| check_range(lo, hi))?;
         let out = self.inner.mira_query(origin, rect, seed)?;
         Ok(remap(out, &self.handles))
     }
@@ -510,9 +503,7 @@ impl MultiRangeScheme for MiraScheme {
         if rect.len() != self.dims {
             return Err(SchemeError::WrongArity { expected: self.dims, got: rect.len() });
         }
-        if let Some(&(lo, hi)) = rect.iter().find(|&&(lo, hi)| lo > hi) {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        rect.iter().try_for_each(|&(lo, hi)| check_range(lo, hi))?;
         let out = self.inner.mira_query_scratch(origin, rect, seed, scratch)?;
         Ok(remap(out, &self.handles))
     }

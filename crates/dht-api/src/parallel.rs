@@ -361,8 +361,12 @@ impl ParallelDriver {
         let acc = self.run_sharded(|q, scratch| {
             let rect = workload.rect(domains, self.seed, q as u64);
             let origin = scheme.random_origin(&mut self.origin_rng(q));
-            let out =
-                scheme.rect_query_scratch(origin, &rect, self.seed.wrapping_add(q as u64), scratch)?;
+            let out = scheme.rect_query_scratch(
+                origin,
+                &rect,
+                self.seed.wrapping_add(q as u64),
+                scratch,
+            )?;
             Ok((out, n_peers, origin))
         })?;
         Ok(acc.report(scheme.scheme_name(), self.queries))

@@ -53,6 +53,17 @@
 //! until repair runs, and queries inside that window — exactly what the
 //! recall experiments measure — only recover records that still have a
 //! live holder.
+//!
+//! # Host cost
+//!
+//! `successor-r` placement reads one successor ring per membership
+//! configuration: the live peers' ring positions, sorted. [`Replicated`]
+//! builds it from [`ReplicaRouting::live_peers`] on the first `publish` or
+//! `re_replicate` that needs it and drops it on every `join`, `leave`,
+//! `crash` and `stabilize`. A membership change thus costs one O(N log N)
+//! ring build, each placement a binary search plus an `r`-step walk
+//! (O(log N + r)), and no placement walks the live peer set per record.
+//! The ring holds 16 bytes per live peer.
 
 use crate::dynamics::DynamicScheme;
 use crate::scheme::{RangeOutcome, RangeScheme, SchemeError};
@@ -189,21 +200,48 @@ fn ring_position(node: NodeId) -> u64 {
     crate::fnv1a(&(node as u64).to_le_bytes())
 }
 
+/// The consistent-hash ring over one live peer set: every peer's
+/// `(ring_position, id)` pair, sorted. Built once per membership
+/// configuration (O(N log N)); each owner lookup is then a binary search
+/// plus an `r`-step clockwise walk.
+struct SuccessorRing {
+    ring: Vec<(u64, NodeId)>,
+}
+
+impl SuccessorRing {
+    /// The ring over `live` (the order of `live` does not matter).
+    fn new(live: &[NodeId]) -> Self {
+        let mut ring: Vec<(u64, NodeId)> = live.iter().map(|&n| (ring_position(n), n)).collect();
+        ring.sort_unstable();
+        SuccessorRing { ring }
+    }
+
+    /// Hash `key` to a ring point and take the first `r` peers clockwise
+    /// from it (clamped to the ring's size; empty for an empty ring).
+    ///
+    /// The returned list for `r` is always a **prefix** of the list for
+    /// `r + 1` — the property that makes recall monotone in the replication
+    /// factor under identical churn histories.
+    fn owners(&self, key: u64, r: usize) -> Vec<NodeId> {
+        let ring = &self.ring;
+        if ring.is_empty() {
+            return Vec::new();
+        }
+        let point = crate::fnv1a(&key.to_le_bytes());
+        let start = ring.partition_point(|&(p, _)| p < point);
+        (0..r.min(ring.len())).map(|i| ring[(start + i) % ring.len()].1).collect()
+    }
+}
+
 /// Successor-style owner selection over a live peer set: hash `key` to a
 /// ring point, take the first `r` live peers clockwise from it.
 ///
 /// The returned list for `r` is always a **prefix** of the list for
 /// `r + 1` — the property that makes recall monotone in the replication
-/// factor under identical churn histories.
+/// factor under identical churn histories. [`Replicated`] answers the same
+/// lookup from a ring it builds once per membership change.
 pub fn ring_owners(live: &[NodeId], key: u64, r: usize) -> Vec<NodeId> {
-    if live.is_empty() || r == 0 {
-        return Vec::new();
-    }
-    let mut ring: Vec<(u64, NodeId)> = live.iter().map(|&n| (ring_position(n), n)).collect();
-    ring.sort_unstable();
-    let point = crate::fnv1a(&key.to_le_bytes());
-    let start = ring.partition_point(|&(p, _)| p < point);
-    (0..r.min(ring.len())).map(|i| ring[(start + i) % ring.len()].1).collect()
+    SuccessorRing::new(live).owners(key, r)
 }
 
 /// Hashes a record's attribute value into the opaque key space replica
@@ -214,7 +252,9 @@ pub fn value_key(value: f64) -> u64 {
 
 /// What a scheme exposes so the replication layer can place and read
 /// replicas — the live membership, the substrate's close group, and honest
-/// fetch costs.
+/// fetch costs. These are primitives only: the placement policy (which
+/// owners a record gets under which [`ReplicaKind`]) lives in
+/// [`Replicated`].
 ///
 /// Schemes opt in through [`RangeScheme::as_replica_routing`]; the
 /// [`Replicated`] wrapper refuses construction over schemes that do not.
@@ -238,23 +278,6 @@ pub trait ReplicaRouting {
     /// node, the `O(log N)` lookup model otherwise — with latency
     /// accumulated over the same edges the hop figure counts).
     fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost;
-
-    /// The `policy.factor()` distinct live owners for the record keyed by
-    /// `value`, primary first — a pure function of `(value, policy, live
-    /// membership)`. [`ReplicaKind::Successor`] walks the consistent-hash
-    /// ring over [`live_peers`](Self::live_peers) ([`ring_owners`], whose
-    /// prefix property makes recall monotone in the factor);
-    /// [`ReplicaKind::NeighborSet`] delegates to
-    /// [`close_group`](Self::close_group).
-    fn replica_owners(&self, value: f64, policy: &ReplicaPolicy) -> Vec<NodeId> {
-        match policy.kind() {
-            ReplicaKind::None => Vec::new(),
-            ReplicaKind::Successor => {
-                ring_owners(&self.live_peers(), value_key(value), policy.factor())
-            }
-            ReplicaKind::NeighborSet => self.close_group(value, policy.factor()),
-        }
-    }
 }
 
 /// The cost of one replica point fetch (or copy transfer): the overlay
@@ -343,6 +366,12 @@ pub struct Replicated {
     /// `holders[i]` = peers currently holding a replica of record `i`
     /// (the primary copy lives inside the inner scheme and is not listed).
     holders: Vec<Vec<NodeId>>,
+    /// The successor ring over the current live membership, built on the
+    /// first placement that needs it and dropped by every membership
+    /// change (`join`, `leave`, `crash`, `stabilize` — the only paths to
+    /// the inner scheme's membership, since [`inner`](Self::inner) hands
+    /// out a shared reference).
+    ring: Option<SuccessorRing>,
 }
 
 impl Replicated {
@@ -359,7 +388,7 @@ impl Replicated {
                 feature: "replication",
             });
         }
-        Ok(Replicated { inner, policy, published: Vec::new(), holders: Vec::new() })
+        Ok(Replicated { inner, policy, published: Vec::new(), holders: Vec::new(), ring: None })
     }
 
     /// The wrapped scheme.
@@ -369,6 +398,29 @@ impl Replicated {
 
     fn routing(&self) -> &dyn ReplicaRouting {
         self.inner.as_replica_routing().expect("checked at construction")
+    }
+
+    /// The `policy.factor()` distinct live owners for the record keyed by
+    /// `value`, primary first — a pure function of `(value, policy, live
+    /// membership)`. [`ReplicaKind::Successor`] walks the cached
+    /// [`SuccessorRing`] (whose prefix property makes recall monotone in
+    /// the factor); [`ReplicaKind::NeighborSet`] asks the substrate's
+    /// [`close_group`](ReplicaRouting::close_group).
+    fn owners(&mut self, value: f64) -> Vec<NodeId> {
+        let r = self.policy.factor();
+        match self.policy.kind() {
+            ReplicaKind::None => Vec::new(),
+            ReplicaKind::Successor => {
+                let inner = &self.inner;
+                self.ring
+                    .get_or_insert_with(|| {
+                        let routing = inner.as_replica_routing().expect("checked at construction");
+                        SuccessorRing::new(&routing.live_peers())
+                    })
+                    .owners(value_key(value), r)
+            }
+            ReplicaKind::NeighborSet => self.routing().close_group(value, r),
+        }
     }
 
     /// Ground-truth handles for `[lo, hi]`, ascending and deduplicated —
@@ -596,11 +648,7 @@ impl RangeScheme for Replicated {
     }
 
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
-        let owners = if self.policy.is_none() {
-            Vec::new()
-        } else {
-            self.routing().replica_owners(value, &self.policy)
-        };
+        let owners = if self.policy.is_none() { Vec::new() } else { self.owners(value) };
         self.inner.publish(value, handle)?;
         self.published.push((value, handle));
         // The primary copy (owners[0]) lives inside the inner scheme.
@@ -693,22 +741,26 @@ impl RangeScheme for Replicated {
 
 impl DynamicScheme for Replicated {
     fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
+        self.ring = None;
         self.dynamic_inner()?.join(rng)
     }
 
     fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {
+        self.ring = None;
         self.dynamic_inner()?.leave(node)?;
         self.evict(node);
         Ok(())
     }
 
     fn crash(&mut self, node: NodeId) -> Result<(), SchemeError> {
+        self.ring = None;
         self.dynamic_inner()?.crash(node)?;
         self.evict(node);
         Ok(())
     }
 
     fn stabilize(&mut self) -> usize {
+        self.ring = None;
         let inner_ops = self.dynamic_inner().map_or(0, |d| d.stabilize());
         inner_ops + self.re_replicate().ops()
     }
@@ -731,28 +783,20 @@ impl ReplicationControl for Replicated {
             return repair;
         }
         for idx in 0..self.published.len() {
-            let (value, _) = self.published[idx];
-            let owners = self
-                .inner
-                .as_replica_routing()
-                .expect("checked")
-                .replica_owners(value, &self.policy);
-            let desired: Vec<NodeId> = owners.iter().skip(1).copied().collect();
-            let primary = owners.first().copied();
+            let owners = self.owners(self.published[idx].0);
+            // The primary copy (owners[0]) lives inside the inner scheme.
+            let desired = owners.get(1..).unwrap_or_default();
+            let routing = self.inner.as_replica_routing().expect("checked at construction");
             let current = &mut self.holders[idx];
             let before = current.len();
             current.retain(|h| desired.contains(h));
             let retired = before - current.len();
             repair.dropped += retired;
             repair.messages += retired as u64; // one retirement message each
-            for &owner in &desired {
+            for &owner in desired {
                 if !current.contains(&owner) {
                     // Copy transfer from the primary owner's side.
-                    let cost = self
-                        .inner
-                        .as_replica_routing()
-                        .expect("checked")
-                        .fetch_cost(primary.unwrap_or(owner), owner);
+                    let cost = routing.fetch_cost(owners[0], owner);
                     repair.messages += cost.messages;
                     // Transfers run in parallel: the pass's virtual-time
                     // critical path is its slowest single transfer.
@@ -777,6 +821,9 @@ impl ReplicationControl for Replicated {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng as _;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A toy sharded scheme: each record lives at one owner chosen by
     /// consistent hashing; crashed owners lose their records until
@@ -786,11 +833,14 @@ mod tests {
         alive: Vec<bool>,
         /// `(value, handle, current owner)`; dead owner ⇒ record lost.
         records: Vec<(f64, u64, NodeId)>,
+        /// Calls to [`ReplicaRouting::live_peers`] — the O(N) membership
+        /// walk the cost gate counts.
+        live_calls: Arc<AtomicUsize>,
     }
 
     impl ShardScan {
         fn new(n: usize) -> Self {
-            ShardScan { alive: vec![true; n], records: Vec::new() }
+            ShardScan { alive: vec![true; n], records: Vec::new(), live_calls: Arc::default() }
         }
 
         fn live(&self) -> Vec<NodeId> {
@@ -935,6 +985,7 @@ mod tests {
 
     impl ReplicaRouting for ShardScan {
         fn live_peers(&self) -> Vec<NodeId> {
+            self.live_calls.fetch_add(1, Ordering::Relaxed);
             self.live()
         }
         fn close_group(&self, value: f64, r: usize) -> Vec<NodeId> {
@@ -982,6 +1033,117 @@ mod tests {
         // Clamps to the live set.
         assert_eq!(ring_owners(&live[..3], 1, 9).len(), 3);
         assert!(ring_owners(&[], 1, 3).is_empty());
+    }
+
+    #[test]
+    fn successor_ring_lookups_match_the_one_shot_reference() {
+        let live: Vec<NodeId> = (0..40).filter(|n| n % 3 != 1).collect();
+        let ring = SuccessorRing::new(&live);
+        let mut shuffled = live.clone();
+        shuffled.reverse();
+        for key in (0..200u64).map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
+            for r in 0..=live.len() + 1 {
+                let owners = ring.owners(key, r);
+                assert_eq!(owners, ring_owners(&live, key, r));
+                assert_eq!(owners, ring_owners(&shuffled, key, r), "input order is irrelevant");
+            }
+        }
+        assert!(SuccessorRing::new(&[]).owners(7, 3).is_empty());
+    }
+
+    /// The cached ring never goes stale: under a random interleaving of
+    /// publishes, membership changes and repair passes, every placement
+    /// equals a fresh one-shot [`ring_owners`] walk over the current live
+    /// set, for several factors.
+    #[test]
+    fn cached_ring_placements_equal_fresh_ring_walks() {
+        for r in [2usize, 3, 5] {
+            let mut rng = simnet::rng_from_seed(0x5eed_0000 + r as u64);
+            let mut scheme = replicated(16, 20, ReplicaPolicy::successor(r));
+            let fresh = |scheme: &Replicated, value: f64| -> Vec<NodeId> {
+                let live = DynamicScheme::live_peers(scheme);
+                ring_owners(&live, value_key(value), r)[1..].to_vec()
+            };
+            let mut handle = 20u64;
+            for _ in 0..300 {
+                match rng.gen_range(0..6u32) {
+                    0 => {
+                        let value = rng.gen_range(0.0..=1000.0);
+                        scheme.publish(value, handle).unwrap();
+                        handle += 1;
+                        let last = scheme.holders.last().unwrap();
+                        assert_eq!(
+                            *last,
+                            fresh(&scheme, value),
+                            "publish placed off-ring (r = {r})"
+                        );
+                    }
+                    1 => {
+                        DynamicScheme::join(&mut scheme, &mut rng).unwrap();
+                    }
+                    op @ (2 | 3) => {
+                        let live = DynamicScheme::live_peers(&scheme);
+                        if live.len() > r + 2 {
+                            let victim = live[rng.gen_range(0..live.len())];
+                            if op == 2 {
+                                DynamicScheme::leave(&mut scheme, victim).unwrap();
+                            } else {
+                                DynamicScheme::crash(&mut scheme, victim).unwrap();
+                            }
+                        }
+                    }
+                    op => {
+                        if op == 4 {
+                            DynamicScheme::stabilize(&mut scheme);
+                        } else {
+                            scheme.re_replicate();
+                        }
+                        for (idx, &(value, _)) in scheme.published.iter().enumerate() {
+                            let mut held = scheme.holders[idx].clone();
+                            held.sort_unstable();
+                            let mut want = fresh(&scheme, value);
+                            want.sort_unstable();
+                            assert_eq!(held, want, "repair left record {idx} off-ring (r = {r})");
+                        }
+                    }
+                }
+            }
+            // The prefix property holds on the cached ring across factors.
+            scheme.re_replicate();
+            let live = DynamicScheme::live_peers(&scheme);
+            let ring = scheme.ring.as_ref().expect("a repair pass builds the ring");
+            for key in (0..50u64).map(|i| value_key(i as f64 * 13.5)) {
+                let widest = ring.owners(key, 6);
+                assert_eq!(widest, ring_owners(&live, key, 6));
+                for f in 1..6 {
+                    assert_eq!(ring.owners(key, f), widest[..f.min(widest.len())].to_vec());
+                }
+            }
+        }
+    }
+
+    /// The host-cost gate, as exact counts: publishes with no membership
+    /// change share one live-set walk, and a repair pass over every record
+    /// makes at most one.
+    #[test]
+    fn one_live_peer_walk_per_membership_change() {
+        const RECORDS: u64 = 200;
+        let toy = ShardScan::new(64);
+        let calls = Arc::clone(&toy.live_calls);
+        let mut scheme = Replicated::new(Box::new(toy), ReplicaPolicy::successor(3)).unwrap();
+        for h in 0..RECORDS {
+            scheme.publish((h as f64 * 37.0) % 1000.0, h).unwrap();
+        }
+        assert!(calls.load(Ordering::Relaxed) <= 1, "{RECORDS} publishes walked the live set");
+
+        let victim = DynamicScheme::live_peers(&scheme)[5];
+        DynamicScheme::crash(&mut scheme, victim).unwrap();
+        calls.store(0, Ordering::Relaxed);
+        let repair = scheme.re_replicate();
+        assert!(repair.placed > 0, "the crash must leave copies to restore");
+        assert!(calls.load(Ordering::Relaxed) <= 1, "a repair pass walked the live set per record");
+        assert_eq!(scheme.re_replicate(), ReplicaRepair::default());
+        assert!(calls.load(Ordering::Relaxed) <= 1, "an unchanged membership reuses the ring");
     }
 
     #[test]

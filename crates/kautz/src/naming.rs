@@ -164,9 +164,10 @@ impl SingleHash {
     ///
     /// # Errors
     ///
-    /// Returns [`NamingError::EmptyRange`] if `lo > hi`.
+    /// Returns [`NamingError::EmptyRange`] if `lo > hi` or either bound is
+    /// NaN.
     pub fn region(&self, lo: f64, hi: f64) -> Result<KautzRegion, NamingError> {
-        if lo > hi {
+        if lo > hi || lo.is_nan() || hi.is_nan() {
             return Err(NamingError::EmptyRange { attribute: 0 });
         }
         let low_t = self.object_id(lo);
@@ -417,6 +418,9 @@ mod tests {
     fn region_rejects_reversed_query() {
         let naming = SingleHash::new(0.0, 1.0, 4).unwrap();
         assert!(matches!(naming.region(0.9, 0.1), Err(NamingError::EmptyRange { .. })));
+        for (lo, hi) in [(0.1, f64::NAN), (f64::NAN, 0.9), (f64::NAN, f64::NAN)] {
+            assert!(matches!(naming.region(lo, hi), Err(NamingError::EmptyRange { .. })));
+        }
     }
 
     #[test]

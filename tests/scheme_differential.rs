@@ -278,3 +278,29 @@ fn dcf_family_rejects_nan_bounds() {
         }
     }
 }
+
+#[test]
+fn pira_family_rejects_nan_bounds() {
+    // Same contract as the DCF family: a NaN bound is an empty range. It
+    // must come back as an error through every query entry point — never
+    // a panic inside Kautz naming, never an "exact" empty answer.
+    let registry = standard_registry();
+    let params = BuildParams::new(60, DOMAIN.0, DOMAIN.1);
+    for name in ["pira", "seqwalk", "pira+r3", "pira+r3@lossy-p/r2", "pira@wan"] {
+        let mut rng = simnet::rng_from_seed(0x9a9);
+        let mut scheme = registry.build_single(name, &params, &mut rng).expect("build");
+        for h in 0..60u64 {
+            scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).expect("publish");
+        }
+        let origin = scheme.random_origin(&mut rng);
+        let mut scratch = simnet::QueryScratch::new();
+        for (lo, hi) in [(10.0, f64::NAN), (f64::NAN, 10.0), (f64::NAN, f64::NAN)] {
+            let plain = scheme.range_query(origin, lo, hi, 1);
+            assert!(plain.is_err(), "{name} [{lo}, {hi}]: got {plain:?}");
+            let scratched = scheme.range_query_scratch(origin, lo, hi, 1, &mut scratch);
+            assert!(scratched.is_err(), "{name} [{lo}, {hi}]: got {scratched:?} (scratch)");
+            let traced = scheme.trace_query(origin, lo, hi, 1).map(|(out, _)| out);
+            assert!(traced.is_err(), "{name} [{lo}, {hi}]: got {traced:?} (traced)");
+        }
+    }
+}
