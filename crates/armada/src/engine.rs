@@ -469,6 +469,45 @@ pub(crate) fn descent_budget(origin_id: &KautzStr, com_t: &KautzStr) -> (usize, 
     (f, origin_id.len() - f)
 }
 
+/// The peers that answered one tree-descent query, as a reusable flat set:
+/// a per-slot `seen` flag array plus the `answered` log in first-answer
+/// order. [`reset`](Self::reset) clears only the flags the previous query
+/// set, so a query pays O(answers), not O(N), for its set, and a query
+/// that unwound mid-run leaves nothing stale for the next one.
+#[derive(Debug, Default)]
+pub(crate) struct AnswerSet {
+    seen: Vec<bool>,
+    answered: Vec<NodeId>,
+}
+
+impl AnswerSet {
+    /// Empties the set and sizes it for node ids below `slots`.
+    pub(crate) fn reset(&mut self, slots: usize) {
+        for &node in &self.answered {
+            self.seen[node] = false;
+        }
+        self.answered.clear();
+        if self.seen.len() < slots {
+            self.seen.resize(slots, false);
+        }
+    }
+
+    /// Records `node`'s answer; `true` iff it is the node's first.
+    pub(crate) fn insert(&mut self, node: NodeId) -> bool {
+        let first = !self.seen[node];
+        if first {
+            self.seen[node] = true;
+            self.answered.push(node);
+        }
+        first
+    }
+
+    /// Number of distinct peers that answered.
+    pub(crate) fn len(&self) -> usize {
+        self.answered.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

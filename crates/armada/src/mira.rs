@@ -12,12 +12,11 @@
 //! `< 2·log₂N` worst case and `< log₂N` on average, independent of the
 //! query volume.
 
-use crate::engine::descent_budget;
+use crate::engine::{descent_budget, AnswerSet};
 use crate::{ArmadaError, MultiArmada, QueryMetrics, QueryOutcome, RecordId};
 use kautz::fixed::BoundaryInterval;
 use kautz::KautzStr;
 use simnet::{Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
-use std::collections::BTreeSet;
 
 /// One in-flight MIRA sub-query message — `Copy`, like [`PiraMsg`]: the
 /// sub-query's `ComS` lives once per query in [`MiraScratch::subs`],
@@ -34,15 +33,17 @@ struct MiraMsg {
 
 /// MIRA's reusable per-thread state, slotted into a [`QueryScratch`]. Every
 /// field is reset at query start, so reuse is invisible to results and
-/// metrics.
+/// metrics. The answer sets are flat, as in PIRA (see its "Host cost"
+/// docs): an [`AnswerSet`] and a `results` vector sorted and deduplicated
+/// once.
 struct MiraScratch {
     sim: SimScratch<MiraMsg>,
     /// `ComS` per sub-query (prefix of the sub-region's common prefix,
     /// suffix of the origin's PeerID).
     subs: Vec<KautzStr>,
     arrivals: Vec<(NodeId, u64)>,
-    nbrs: Vec<NodeId>,
-    shift: KautzStr,
+    answered: AnswerSet,
+    results: Vec<RecordId>,
     /// Subtree-prefix buffer: `ComS ++ cid[strip..]` per candidate child.
     wbuf: KautzStr,
     /// Rectangle buffers for the answer and prune tests.
@@ -56,8 +57,8 @@ impl Default for MiraScratch {
             sim: SimScratch::new(),
             subs: Vec::new(),
             arrivals: Vec::new(),
-            nbrs: Vec::new(),
-            shift: KautzStr::empty(2),
+            answered: AnswerSet::default(),
+            results: Vec::new(),
             wbuf: KautzStr::empty(2),
             zone: Vec::new(),
             wrect: Vec::new(),
@@ -86,10 +87,12 @@ pub(crate) fn query(
     let naming = armada.naming();
     let rect = naming.query_rect(ranges)?;
     let corner = naming.corner_region(ranges)?;
-    let truth = armada.ground_truth_peers(ranges)?;
+    // A peer answers iff its rectangle meets the query — the ground-truth
+    // predicate itself — so a count of the truth set decides exactness.
+    let dest_peers = armada.ground_truth_peers(ranges)?.len();
     let origin_id = net.peer_id(origin)?;
 
-    let MiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift, wbuf, zone, wrect } =
+    let MiraScratch { sim: sim_scratch, subs, arrivals, answered, results, wbuf, zone, wrect } =
         scratch.slot::<MiraScratch>();
     let mut sim: Sim<MiraMsg> =
         Sim::from_scratch(seed, sim_scratch).with_faults_ref(faults).with_net(*armada.net_model());
@@ -101,11 +104,11 @@ pub(crate) fn query(
         subs.push(com_t.take_front(f));
     }
 
-    let mut answered: BTreeSet<NodeId> = BTreeSet::new();
+    answered.reset(net.slot_count());
     // Flat arrival log reduced by a sorted post-pass (min cost per peer,
     // max over peers — order-independent; see pira.rs).
     arrivals.clear();
-    let mut results: BTreeSet<RecordId> = BTreeSet::new();
+    results.clear();
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<MiraMsg>| {
         let node = env.to;
@@ -128,7 +131,7 @@ pub(crate) fn query(
                             .zip(ranges.iter())
                             .all(|(&v, &(lo, hi))| v >= lo && v <= hi);
                         if inside {
-                            results.insert(record);
+                            results.push(record);
                         }
                     }
                 }
@@ -140,8 +143,7 @@ pub(crate) fn query(
         if d > 0 {
             let f = com_s.len();
             let strip = f + d - 1;
-            net.out_neighbors_into(node, shift, nbrs);
-            for &c in nbrs.iter() {
+            for &c in net.out_neighbors_of(node) {
                 let cid = net.peer_id(c).expect("live");
                 // `ComS ++ cid[strip..]`; on a repeated junction symbol the
                 // buffer degrades to `ComS` alone — PIRA's never-prune
@@ -157,17 +159,19 @@ pub(crate) fn query(
     });
 
     let reached = answered.len();
-    let exact = answered == truth;
+    let exact = reached == dest_peers;
+    results.sort_unstable();
+    results.dedup();
     let latency = simnet::last_first_arrival(arrivals);
     let messages = sim.stats().messages_sent;
     sim.recycle(sim_scratch);
     Ok(QueryOutcome {
-        results: results.into_iter().collect(),
+        results: results.to_vec(),
         metrics: QueryMetrics {
             delay,
             latency,
             messages,
-            dest_peers: truth.len(),
+            dest_peers,
             reached_peers: reached,
             exact,
         },

@@ -21,12 +21,27 @@
 //! Delay is bounded by `hops_left ≤ len(origin.id)` regardless of the range
 //! size: `< 2·log₂N` worst case, `< log₂N` on average — the paper's
 //! headline result.
+//!
+//! # Host cost
+//!
+//! A delivery costs one prefix-intersection test, one slice read of the
+//! holder's out-neighbors ([`fissione::FissioneNet::out_neighbors_of`], a
+//! table built once per membership change) and one subtree test per
+//! neighbor; a first answer adds one flag write and the local range scan.
+//! Nothing per delivery touches an ordered map. The per-query sets are flat
+//! vectors in `PiraScratch`: an `AnswerSet` (a per-slot `seen` flag array
+//! with an `answered` log that clears it) and a `results` vector sorted
+//! and deduplicated once after the run. Ground truth is only a count, the
+//! length of the destination run in PeerID order, because every answering
+//! peer intersects the full region: `answered ⊆ truth`, so the query is
+//! exact iff as many peers answered as the run holds. Steady-state
+//! allocations per query are the result vector, the destination run and the
+//! query's naming work, independent of the number of messages.
 
-use crate::engine::descent_budget;
+use crate::engine::{descent_budget, AnswerSet};
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId, SingleArmada};
 use kautz::{KautzRegion, KautzStr};
 use simnet::{Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
-use std::collections::BTreeSet;
 
 /// One in-flight PIRA sub-query message — `Copy`, so forwarding a message
 /// down the routing tree moves twenty-four bytes instead of cloning two
@@ -51,27 +66,17 @@ struct SubQuery {
 }
 
 /// PIRA's reusable per-thread state, slotted into a [`QueryScratch`]: the
-/// simulator's collections plus the routing loop's working buffers. Every
-/// field is reset at query start, so reuse is invisible to results,
-/// metrics, and traces.
+/// simulator's collections plus the query's flat answer sets. Every field
+/// is reset at query start, so reuse is invisible to results, metrics, and
+/// traces.
+#[derive(Default)]
 struct PiraScratch {
     sim: SimScratch<PiraMsg>,
     subs: Vec<SubQuery>,
     arrivals: Vec<(NodeId, u64)>,
-    nbrs: Vec<NodeId>,
-    shift: KautzStr,
-}
-
-impl Default for PiraScratch {
-    fn default() -> Self {
-        PiraScratch {
-            sim: SimScratch::new(),
-            subs: Vec::new(),
-            arrivals: Vec::new(),
-            nbrs: Vec::new(),
-            shift: KautzStr::empty(2),
-        }
-    }
+    answered: AnswerSet,
+    /// Matching records, sorted and deduplicated once after the run.
+    results: Vec<RecordId>,
 }
 
 /// Executes a PIRA range query; see the module docs.
@@ -130,10 +135,12 @@ fn query_impl(
         return Err(ArmadaError::BadOrigin { origin });
     }
     let region = armada.naming().region(lo, hi)?;
-    let truth = armada.ground_truth_peers(lo, hi)?;
+    // Ground truth as a count: answering peers are a subset of the
+    // destination run (see "Host cost" in the module docs).
+    let dest_peers = net.peers_intersecting_range(region.low(), region.high())?.len();
     let origin_id = net.peer_id(origin)?;
 
-    let PiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift } =
+    let PiraScratch { sim: sim_scratch, subs, arrivals, answered, results } =
         scratch.slot::<PiraScratch>();
     let mut sim: Sim<PiraMsg> =
         Sim::from_scratch(seed, sim_scratch).with_faults_ref(faults).with_net(*armada.net_model());
@@ -149,13 +156,13 @@ fn query_impl(
         subs.push(SubQuery { region: sub, com_s });
     }
 
-    let mut answered: BTreeSet<NodeId> = BTreeSet::new();
+    answered.reset(net.slot_count());
     // Flat arrival log, one entry per qualifying delivery; the sorted
     // post-pass (`last_first_arrival`) reduces it to the min cost per peer
     // and the max over peers — independent of delivery order (scheduling
     // stays on unit ticks; the cost model rides along in the envelopes).
     arrivals.clear();
-    let mut results: BTreeSet<RecordId> = BTreeSet::new();
+    results.clear();
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<PiraMsg>| {
         let node = env.to;
@@ -169,6 +176,10 @@ fn query_impl(
             arrivals.push((node, env.cost));
             sim.trace_answer(&env);
             if answered.insert(node) {
+                debug_assert!(
+                    region.intersects_prefix(id),
+                    "answering peer {node} outside the query"
+                );
                 delay = delay.max(env.hop);
                 let peer = net.peer(node).expect("live");
                 for (_oid, handles) in peer.objects_in_range(region.low(), region.high()) {
@@ -176,7 +187,7 @@ fn query_impl(
                         let record = RecordId(h);
                         let v = armada.value(record);
                         if v >= lo && v <= hi {
-                            results.insert(record);
+                            results.push(record);
                         }
                     }
                 }
@@ -188,8 +199,7 @@ fn query_impl(
         if d > 0 {
             let f = env.payload.f;
             let strip = f + d - 1; // transit-prefix length at the children
-            net.out_neighbors_into(node, shift, nbrs);
-            for &c in nbrs.iter() {
+            for &c in net.out_neighbors_of(node) {
                 let cid = net.peer_id(c).expect("live");
                 // Subtree prefix of C at the destination level, tested as
                 // `ComS ++ cid[strip..]` without materializing it. Children
@@ -206,7 +216,9 @@ fn query_impl(
     });
 
     let reached = answered.len();
-    let exact = answered == truth;
+    let exact = reached == dest_peers;
+    results.sort_unstable();
+    results.dedup();
     // Critical path in virtual ms: the query completes when the last
     // destination first learns of it.
     let latency = simnet::last_first_arrival(arrivals);
@@ -215,12 +227,12 @@ fn query_impl(
     sim.recycle(sim_scratch);
     Ok((
         QueryOutcome {
-            results: results.into_iter().collect(),
+            results: results.to_vec(),
             metrics: QueryMetrics {
                 delay,
                 latency,
                 messages,
-                dest_peers: truth.len(),
+                dest_peers,
                 reached_peers: reached,
                 exact,
             },

@@ -22,8 +22,8 @@
 
 use crate::{ArmadaError, MultiArmada, QueryOutcome, SingleArmada};
 use dht_api::{
-    BuildParams, Dht, DynamicScheme, FetchCost, MultiBuildParams, MultiRangeScheme, OutcomeCosts,
-    RangeOutcome, RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
+    check_range, BuildParams, Dht, DynamicScheme, FetchCost, MultiBuildParams, MultiRangeScheme,
+    OutcomeCosts, RangeOutcome, RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
 };
 use fissione::FissioneConfig;
 use rand::rngs::SmallRng;
@@ -61,15 +61,6 @@ impl From<QueryOutcome> for RangeOutcome {
     fn from(out: QueryOutcome) -> Self {
         out.into_outcome()
     }
-}
-
-/// Rejects a range that holds no value: `lo > hi`, or a NaN bound (NaN
-/// orders against nothing, so no value lies between it and the other bound).
-fn check_range(lo: f64, hi: f64) -> Result<(), SchemeError> {
-    if lo > hi || lo.is_nan() || hi.is_nan() {
-        return Err(SchemeError::EmptyRange { lo, hi });
-    }
-    Ok(())
 }
 
 /// Remaps a native outcome's `RecordId` results through a handle table.

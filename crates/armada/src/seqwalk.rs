@@ -14,7 +14,6 @@
 
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId, SingleArmada};
 use simnet::{HopKind, TraceEvent, TraceRecord, TraceSink};
-use std::collections::BTreeSet;
 
 /// Executes a sequential range walk: route to the first destination, then
 /// traverse the destination run peer by peer.
@@ -63,8 +62,8 @@ fn query_impl(
         return Err(ArmadaError::BadOrigin { origin });
     }
     let region = armada.naming().region(lo, hi)?;
+    // A contiguous run in PeerID order: each destination appears once.
     let destinations = net.peers_intersecting_range(region.low(), region.high())?;
-    let truth: BTreeSet<simnet::NodeId> = destinations.iter().copied().collect();
 
     let mut sink = trace.then(TraceSink::new);
     if let Some(s) = &mut sink {
@@ -114,7 +113,7 @@ fn query_impl(
     // Phase 2: walk the contiguous destination run, one hop per successor.
     // The walk is strictly sequential, so every successor edge joins the
     // critical path in both currencies.
-    let mut results: BTreeSet<RecordId> = BTreeSet::new();
+    let mut results: Vec<RecordId> = Vec::new();
     for (i, &peer) in destinations.iter().enumerate() {
         if i > 0 {
             messages += 1;
@@ -147,21 +146,24 @@ fn query_impl(
                 let record = RecordId(h);
                 let v = armada.value(record);
                 if v >= lo && v <= hi {
-                    results.insert(record);
+                    results.push(record);
                 }
             }
         }
     }
 
+    results.sort_unstable();
+    results.dedup();
+
     Ok((
         QueryOutcome {
-            results: results.into_iter().collect(),
+            results,
             metrics: QueryMetrics {
                 delay,
                 latency,
                 messages,
-                dest_peers: truth.len(),
-                reached_peers: truth.len(),
+                dest_peers: destinations.len(),
+                reached_peers: destinations.len(),
                 exact: true,
             },
         },

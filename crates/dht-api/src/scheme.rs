@@ -246,6 +246,20 @@ impl std::fmt::Display for SchemeError {
 
 impl std::error::Error for SchemeError {}
 
+/// Rejects a range that holds no value: `lo > hi`, or a NaN bound (NaN
+/// orders against nothing, so no value lies between it and the other
+/// bound). Every adapter's query prologue calls this once per range.
+///
+/// # Errors
+///
+/// [`SchemeError::EmptyRange`] for the empty shapes above.
+pub fn check_range(lo: f64, hi: f64) -> Result<(), SchemeError> {
+    if lo > hi || lo.is_nan() || hi.is_nan() {
+        return Err(SchemeError::EmptyRange { lo, hi });
+    }
+    Ok(())
+}
+
 /// A single-attribute range-query scheme: publish `(value, handle)` records,
 /// answer `[lo, hi]` queries with a [`RangeOutcome`].
 ///
@@ -305,8 +319,8 @@ pub trait RangeScheme: Send + Sync {
     /// # Errors
     ///
     /// [`SchemeError::BadOrigin`] for dead origins,
-    /// [`SchemeError::EmptyRange`] for `lo > hi`, scheme-specific wraps
-    /// otherwise.
+    /// [`SchemeError::EmptyRange`] for `lo > hi` or a NaN bound (see
+    /// [`check_range`]), scheme-specific wraps otherwise.
     ///
     /// # Example
     ///

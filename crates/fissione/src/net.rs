@@ -8,6 +8,7 @@ use simnet::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Bound;
+use std::sync::OnceLock;
 
 /// A live FISSIONE peer: its PeerID and the objects it stores.
 #[derive(Debug, Clone)]
@@ -131,6 +132,15 @@ fn enc_is_prefix(k: u128, probe: u128) -> bool {
     k <= probe && enc_subtree_end(k).is_none_or(|end| probe < end)
 }
 
+/// Every live slot's out-neighbors in compressed-sparse-row form: slot
+/// `i`'s list is `targets[offsets[i]..offsets[i + 1]]` (empty for dead
+/// slots), in the order [`FissioneNet::out_neighbors_into`] produces it.
+#[derive(Debug, Clone)]
+struct OutTable {
+    offsets: Vec<u32>,
+    targets: Vec<NodeId>,
+}
+
 /// The FISSIONE network: a prefix-free cover of the Kautz namespace under
 /// churn, with object storage and neighbor computation.
 ///
@@ -142,6 +152,8 @@ pub struct FissioneNet {
     cfg: FissioneConfig,
     slots: Vec<Option<Peer>>,
     /// Live peers by [`enc_id`] key — iteration order is PeerID order.
+    /// Written only through [`index_insert`](Self::index_insert) and
+    /// [`index_remove`](Self::index_remove).
     by_id: BTreeMap<u128, NodeId>,
     live: usize,
     /// `depth_hist[d]` = number of live peers with depth `d`.
@@ -149,6 +161,10 @@ pub struct FissioneNet {
     /// Free slots as a min-heap: allocation recycles the lowest free index,
     /// matching the old slot scan without its O(N) cost.
     free_slots: BinaryHeap<Reverse<usize>>,
+    /// Snapshot of every live peer's out-neighbors, built by the first
+    /// [`out_neighbors_of`](Self::out_neighbors_of) after a membership
+    /// change and dropped by every write to `by_id`.
+    out_table: OnceLock<OutTable>,
 }
 
 impl FissioneNet {
@@ -161,6 +177,7 @@ impl FissioneNet {
             live: 0,
             depth_hist: Vec::new(),
             free_slots: BinaryHeap::new(),
+            out_table: OnceLock::new(),
         };
         for sym in 0..=cfg.base {
             let id = KautzStr::new(cfg.base, vec![sym]).expect("single symbol is valid");
@@ -193,6 +210,12 @@ impl FissioneNet {
     /// Number of live peers.
     pub fn len(&self) -> usize {
         self.live
+    }
+
+    /// Number of peer slots ever allocated (dead slots included): every
+    /// live `NodeId` is below it, so it sizes per-node scratch tables.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// Always `false`: the root peers cannot leave.
@@ -338,8 +361,9 @@ impl FissioneNet {
 
     /// Buffer-reusing core of [`out_neighbors`](Self::out_neighbors):
     /// overwrites `shift` (working storage) and `out` (the result, in the
-    /// same order `out_neighbors` produces). Query descent calls this once
-    /// per delivery, so steady-state routing allocates nothing here.
+    /// same order `out_neighbors` produces). This is the one definition of
+    /// out-adjacency: [`out_neighbors_of`](Self::out_neighbors_of)'s table
+    /// is a snapshot of it.
     ///
     /// # Panics
     ///
@@ -362,6 +386,45 @@ impl FissioneNet {
         }
         // Peers extending (or equal to) the shift.
         out.extend(self.peers_with_prefix(shift));
+    }
+
+    /// Out-neighbors of `node` read from the cached out-neighbor table:
+    /// the same list, in the same order, as
+    /// [`out_neighbors_into`](Self::out_neighbors_into), but a slice read
+    /// instead of three ordered-map probes.
+    ///
+    /// The first call after a membership change builds the table for every
+    /// live slot (`O(N log N)`, one `out_neighbors_into` per peer); every
+    /// write to the peer index drops it again. Query descent, which reads
+    /// the neighbors of every delivery on an unchanging cover, uses this.
+    /// Code that runs *during* a mutation — join's
+    /// `descend_to_local_min` and stabilize's `worst_violation` — keeps
+    /// the probe path, since reading the table there would rebuild it on
+    /// every step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not live.
+    pub fn out_neighbors_of(&self, node: NodeId) -> &[NodeId] {
+        assert!(self.is_live(node), "live node");
+        let table = self.out_table.get_or_init(|| self.build_out_table());
+        &table.targets[table.offsets[node] as usize..table.offsets[node + 1] as usize]
+    }
+
+    fn build_out_table(&self) -> OutTable {
+        let mut shift = KautzStr::empty(self.cfg.base);
+        let mut buf = Vec::new();
+        let mut offsets = Vec::with_capacity(self.slots.len() + 1);
+        let mut targets = Vec::with_capacity(2 * self.live);
+        offsets.push(0);
+        for (node, slot) in self.slots.iter().enumerate() {
+            if slot.is_some() {
+                self.out_neighbors_into(node, &mut shift, &mut buf);
+                targets.extend_from_slice(&buf);
+            }
+            offsets.push(u32::try_from(targets.len()).expect("fewer than 2^32 neighbor entries"));
+        }
+        OutTable { offsets, targets }
     }
 
     /// In-neighbors of `node`: every live peer `W` with `node ∈ out(W)`.
@@ -436,7 +499,9 @@ impl FissioneNet {
     }
 
     /// Hill-descends from `start` towards a peer whose depth is minimal
-    /// among its neighbors.
+    /// among its neighbors. Runs inside a join, so it probes the peer index
+    /// rather than reading the out-neighbor table (which the join's split
+    /// is about to drop).
     ///
     /// Consumes no RNG and picks `min (depth, node)` over the neighbor
     /// multiset — identical victim selection to sorting and deduplicating
@@ -508,13 +573,13 @@ impl FissioneNet {
         }
         peer.id = left.clone();
 
-        self.by_id.remove(&enc_id(&old_id));
-        self.by_id.insert(enc_id(&left), node);
+        self.index_remove(&old_id);
+        self.index_insert(&left, node);
         self.bump_depth(old_id.len(), -1);
         self.bump_depth(old_id.len() + 1, 1);
 
         let newcomer = self.alloc_slot(Peer { id: right.clone(), objects: right_objects });
-        self.by_id.insert(enc_id(&right), newcomer);
+        self.index_insert(&right, newcomer);
         self.bump_depth(old_id.len() + 1, 1);
         self.live += 1;
         (node, newcomer)
@@ -561,10 +626,10 @@ impl FissioneNet {
                     BTreeMap::new()
                 };
                 self.free_slot(node, &id);
+                self.index_remove(&sibling);
+                self.index_insert(&parent, sib_node);
                 let sib = self.slots[sib_node].as_mut().expect("live sibling");
                 sib.objects.append(&mut objects);
-                self.by_id.remove(&enc_id(&sibling));
-                self.by_id.insert(enc_id(&parent), sib_node);
                 sib.id = parent;
                 self.bump_depth(id.len(), -1);
                 self.bump_depth(id.len() - 1, 1);
@@ -596,15 +661,15 @@ impl FissioneNet {
         let parent = deep_id.take_front(deep_id.len() - 1);
         let mut donor_objects =
             std::mem::take(&mut self.slots[deepest].as_mut().expect("live").objects);
+        self.index_remove(&deep_sibling);
+        self.index_insert(&parent, sib_node);
         {
             let sib = self.slots[sib_node].as_mut().expect("live sibling");
             sib.objects.append(&mut donor_objects);
-            self.by_id.remove(&enc_id(&deep_sibling));
-            self.by_id.insert(enc_id(&parent), sib_node);
             sib.id = parent;
-            self.bump_depth(deep_id.len(), -2);
-            self.bump_depth(deep_id.len() - 1, 1);
         }
+        self.bump_depth(deep_id.len(), -2);
+        self.bump_depth(deep_id.len() - 1, 1);
 
         // The freed donor adopts the leaver's label and objects.
         let objects = if keep_objects {
@@ -612,7 +677,7 @@ impl FissioneNet {
         } else {
             BTreeMap::new()
         };
-        self.by_id.remove(&enc_id(&deep_id));
+        self.index_remove(&deep_id);
         {
             let donor = self.slots[deepest].as_mut().expect("live donor");
             donor.id = id.clone();
@@ -621,7 +686,7 @@ impl FissioneNet {
         // The donor replaces the leaver under the same label, so the depth
         // histogram at `id.len()` is unchanged; only the slot and live count
         // of the leaver go away.
-        self.by_id.insert(enc_id(&id), deepest);
+        self.index_insert(&id, deepest);
         self.slots[node] = None;
         self.free_slots.push(Reverse(node));
         self.live -= 1;
@@ -653,6 +718,8 @@ impl FissioneNet {
     }
 
     /// Finds a peer with a neighbor at depth ≥ its own + 2 (shallow side).
+    /// Runs between stabilize's migrations, so it probes the peer index
+    /// rather than reading the out-neighbor table.
     fn worst_violation(&self) -> Option<NodeId> {
         let mut worst: Option<(usize, NodeId)> = None;
         for node in self.live_peers() {
@@ -687,16 +754,16 @@ impl FissioneNet {
         let parent = deep_id.take_front(deep_id.len() - 1);
         let mut donor_objects =
             std::mem::take(&mut self.slots[donor].as_mut().expect("live").objects);
+        self.index_remove(&sibling);
+        self.index_insert(&parent, sib_node);
         {
             let sib = self.slots[sib_node].as_mut().expect("live");
             sib.objects.append(&mut donor_objects);
-            self.by_id.remove(&enc_id(&sibling));
-            self.by_id.insert(enc_id(&parent), sib_node);
             sib.id = parent;
-            self.bump_depth(deep_id.len(), -2);
-            self.bump_depth(deep_id.len() - 1, 1);
         }
-        self.by_id.remove(&enc_id(&deep_id));
+        self.bump_depth(deep_id.len(), -2);
+        self.bump_depth(deep_id.len() - 1, 1);
+        self.index_remove(&deep_id);
         self.live -= 1; // donor temporarily out
         self.slots[donor] = None;
         self.free_slots.push(Reverse(donor));
@@ -835,11 +902,26 @@ impl FissioneNet {
         parent.child(other).expect("legal child")
     }
 
+    /// Maps PeerID `id` to `node` in the peer index. Together with
+    /// [`index_remove`](Self::index_remove) this is the only writer of
+    /// `by_id`, and both drop the out-neighbor table, so no membership
+    /// path can leave a stale one behind.
+    fn index_insert(&mut self, id: &KautzStr, node: NodeId) {
+        self.out_table.take();
+        self.by_id.insert(enc_id(id), node);
+    }
+
+    /// Unmaps PeerID `id` from the peer index; see
+    /// [`index_insert`](Self::index_insert).
+    fn index_remove(&mut self, id: &KautzStr) {
+        self.out_table.take();
+        self.by_id.remove(&enc_id(id));
+    }
+
     fn insert_peer(&mut self, id: KautzStr) -> NodeId {
-        let key = enc_id(&id);
         let node = self.alloc_slot(Peer { id: id.clone(), objects: BTreeMap::new() });
         self.bump_depth(id.len(), 1);
-        self.by_id.insert(key, node);
+        self.index_insert(&id, node);
         self.live += 1;
         node
     }
@@ -861,7 +943,7 @@ impl FissioneNet {
         // Remove the by_id entry only if it still points at this slot (the
         // label may already have been adopted by a donor).
         if self.by_id.get(&enc_id(id)) == Some(&node) {
-            self.by_id.remove(&enc_id(id));
+            self.index_remove(id);
             self.bump_depth(id.len(), -1);
         }
         self.slots[node] = None;
@@ -1118,6 +1200,97 @@ mod tests {
         net.check_invariants().unwrap();
         assert!(after <= before, "stabilize must not make things worse");
         assert_eq!(after, 0, "stabilize converges to the invariant");
+    }
+
+    /// Asserts that the cached table lists, for every live peer, exactly
+    /// what the probe path computes, in the same order.
+    fn assert_table_matches_probes(net: &FissioneNet, context: &str) {
+        for n in net.live_peers() {
+            assert_eq!(net.out_neighbors_of(n), net.out_neighbors(n).as_slice(), "{context}: {n}");
+        }
+    }
+
+    #[test]
+    fn out_table_tracks_every_membership_change() {
+        let rules = [
+            (40, BalanceRule::RandomOwner),
+            (41, FissioneConfig::default().balance),
+            (42, BalanceRule::RandomOwner),
+        ];
+        for (seed, balance) in rules {
+            let cfg = FissioneConfig { balance, ..small_cfg() };
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = FissioneNet::build(cfg, 12, &mut rng).unwrap();
+            assert_table_matches_probes(&net, "build");
+            // Every step starts from a freshly read table, so a mutation
+            // that fails to drop it leaves a stale row behind.
+            for step in 0..300 {
+                let op = match rng.gen_range(0..5) {
+                    0 => {
+                        net.join(&mut rng);
+                        "join"
+                    }
+                    1 => {
+                        let _ = net.leave(net.random_peer(&mut rng));
+                        "leave"
+                    }
+                    2 => {
+                        let _ = net.crash(net.random_peer(&mut rng));
+                        "crash"
+                    }
+                    3 => {
+                        let victim = net.random_peer(&mut rng);
+                        if net.peer(victim).unwrap().depth() < net.config().object_id_len {
+                            net.split_leaf(victim);
+                        }
+                        "split_leaf"
+                    }
+                    _ => {
+                        net.stabilize();
+                        "stabilize"
+                    }
+                };
+                assert_table_matches_probes(&net, &format!("seed {seed} step {step} ({op})"));
+            }
+            net.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn each_index_helper_drops_the_table() {
+        // Every public mutation calls both helpers, so the storm above
+        // cannot tell them apart; check each one directly with a no-op
+        // write (re-insert a live mapping, remove an absent key).
+        let mut net = FissioneNet::new(small_cfg());
+        let zero = *net.by_id.get(&enc_id(&ks("0"))).unwrap();
+        net.out_neighbors_of(zero);
+        net.index_insert(&ks("0"), zero);
+        assert!(net.out_table.get().is_none(), "index_insert kept the table");
+        net.out_neighbors_of(zero);
+        net.index_remove(&ks("012"));
+        assert!(net.out_table.get().is_none(), "index_remove kept the table");
+        assert_table_matches_probes(&net, "after no-op writes");
+    }
+
+    #[test]
+    fn slot_count_bounds_every_live_id_after_churn() {
+        let mut rng = simnet::rng_from_seed(43);
+        let mut net = FissioneNet::build(small_cfg(), 80, &mut rng).unwrap();
+        for _ in 0..300 {
+            match rng.gen_range(0..3) {
+                0 => {
+                    net.join(&mut rng);
+                }
+                1 => {
+                    let _ = net.leave(net.random_peer(&mut rng));
+                }
+                _ => {
+                    let _ = net.crash(net.random_peer(&mut rng));
+                }
+            }
+            let max_live = net.live_peers().max().unwrap();
+            assert!(net.slot_count() > max_live, "{} ≤ {max_live}", net.slot_count());
+        }
     }
 
     #[test]

@@ -120,13 +120,6 @@ impl FissioneNet {
             .collect();
         RoutingSample { hops: Summary::from_samples(hops), queries }
     }
-
-    /// Number of peer slots ever allocated (dead slots included); used to
-    /// size per-node scratch tables.
-    pub fn slot_count(&self) -> usize {
-        // live_peers yields at most this many distinct NodeIds.
-        self.live_peers().map(|n| n + 1).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

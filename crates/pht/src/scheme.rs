@@ -104,9 +104,7 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
         hi: f64,
         _seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        dht_api::check_range(lo, hi)?;
         Ok(self.pht.range_query(origin, lo, hi).into_outcome())
     }
 

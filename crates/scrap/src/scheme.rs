@@ -101,9 +101,7 @@ impl RangeScheme for ScrapNet {
         if self.dims() != 1 {
             return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
         }
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        dht_api::check_range(lo, hi)?;
         Ok(ScrapNet::range_query(self, origin, &[(lo, hi)])?.into_outcome())
     }
 
@@ -167,9 +165,7 @@ impl MultiRangeScheme for ScrapNet {
         rect: &[(f64, f64)],
         _seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if let Some(&(lo, hi)) = rect.iter().find(|&&(lo, hi)| lo > hi) {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        rect.iter().try_for_each(|&(lo, hi)| dht_api::check_range(lo, hi))?;
         Ok(ScrapNet::range_query(self, origin, rect)?.into_outcome())
     }
 }

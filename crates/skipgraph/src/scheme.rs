@@ -77,9 +77,7 @@ impl RangeScheme for SkipGraphNet {
         hi: f64,
         _seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        dht_api::check_range(lo, hi)?;
         if origin >= self.len() {
             return Err(SchemeError::BadOrigin { origin });
         }

@@ -98,9 +98,7 @@ impl RangeScheme for SquidNet {
         if self.dims() != 1 {
             return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
         }
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        dht_api::check_range(lo, hi)?;
         Ok(SquidNet::range_query(self, origin, &[(lo, hi)])?.into_outcome())
     }
 
@@ -164,9 +162,7 @@ impl MultiRangeScheme for SquidNet {
         rect: &[(f64, f64)],
         _seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if let Some(&(lo, hi)) = rect.iter().find(|&&(lo, hi)| lo > hi) {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        rect.iter().try_for_each(|&(lo, hi)| dht_api::check_range(lo, hi))?;
         Ok(SquidNet::range_query(self, origin, rect)?.into_outcome())
     }
 }

@@ -17,7 +17,9 @@
 //! result sets with full recall — a partition is loud while open but may
 //! leave no permanent disagreement behind.
 
-use armada_suite::dht_api::{BuildParams, ChurnPlan, RangeScheme, CHURN_PLAN_NAMES};
+use armada_suite::dht_api::{
+    BuildParams, ChurnPlan, MultiBuildParams, RangeScheme, SchemeError, CHURN_PLAN_NAMES,
+};
 use armada_suite::experiments::standard_registry;
 use proptest::prelude::*;
 use rand::Rng;
@@ -301,6 +303,91 @@ fn pira_family_rejects_nan_bounds() {
             assert!(scratched.is_err(), "{name} [{lo}, {hi}]: got {scratched:?} (scratch)");
             let traced = scheme.trace_query(origin, lo, hi, 1).map(|(out, _)| out);
             assert!(traced.is_err(), "{name} [{lo}, {hi}]: got {traced:?} (traced)");
+        }
+    }
+}
+
+#[test]
+fn remaining_adapters_reject_nan_bounds() {
+    // The analytic-model adapters share the same range check as the PIRA
+    // and DCF families: a NaN bound is an empty range, never an "exact"
+    // empty answer.
+    let registry = standard_registry();
+    let params = BuildParams::new(60, DOMAIN.0, DOMAIN.1);
+    for name in ["pht-fissione", "pht-chord", "skipgraph", "squid", "scrap"] {
+        let mut rng = simnet::rng_from_seed(0x9a9);
+        let mut scheme = registry.build_single(name, &params, &mut rng).expect("build");
+        for h in 0..60u64 {
+            scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).expect("publish");
+        }
+        let origin = scheme.random_origin(&mut rng);
+        let mut scratch = simnet::QueryScratch::new();
+        for (lo, hi) in [(10.0, f64::NAN), (f64::NAN, 10.0), (f64::NAN, f64::NAN)] {
+            let plain = scheme.range_query(origin, lo, hi, 1);
+            assert!(
+                matches!(plain, Err(SchemeError::EmptyRange { .. })),
+                "{name} [{lo}, {hi}]: got {plain:?}"
+            );
+            let scratched = scheme.range_query_scratch(origin, lo, hi, 1, &mut scratch);
+            assert!(scratched.is_err(), "{name} [{lo}, {hi}]: got {scratched:?} (scratch)");
+            let traced = scheme.trace_query(origin, lo, hi, 1).map(|(out, _)| out);
+            assert!(traced.is_err(), "{name} [{lo}, {hi}]: got {traced:?} (traced)");
+        }
+    }
+    // The rectangle entry point applies the check to every attribute.
+    let domains = [DOMAIN, DOMAIN];
+    let params = MultiBuildParams::new(60, &domains);
+    for name in registry.multi_names() {
+        let mut rng = simnet::rng_from_seed(0x9a9);
+        let scheme = registry.build_multi(name, &params, &mut rng).expect("build");
+        let origin = scheme.random_origin(&mut rng);
+        for bad in [(10.0, f64::NAN), (f64::NAN, 10.0), (f64::NAN, f64::NAN)] {
+            let got = scheme.rect_query(origin, &[(0.0, 500.0), bad], 1);
+            assert!(
+                matches!(got, Err(SchemeError::EmptyRange { .. })),
+                "{name} {bad:?}: got {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn infinite_and_out_of_domain_bounds_match_the_oracle() {
+    // Unbounded and past-the-domain ranges are legal and must cover the
+    // clipped domain: every registry name answers exactly the records a
+    // direct scan finds.
+    let registry = standard_registry();
+    let params = BuildParams::new(60, DOMAIN.0, DOMAIN.1);
+    let ranges = [
+        (f64::NEG_INFINITY, 10.0),
+        (10.0, f64::INFINITY),
+        (f64::NEG_INFINITY, f64::INFINITY),
+        (-5.0, 2000.0),
+    ];
+    for name in registry.single_names() {
+        let mut rng = simnet::rng_from_seed(0x1bf ^ dht_api::fnv1a(name.as_bytes()));
+        let mut scheme = registry.build_single(name, &params, &mut rng).expect("build");
+        let mut data = Vec::new();
+        for h in 0..80u64 {
+            // Pin the domain edges and the finite query bound as values.
+            let v = match h {
+                0 => DOMAIN.0,
+                1 => DOMAIN.1,
+                2 => 10.0,
+                _ => rng.gen_range(DOMAIN.0..=DOMAIN.1),
+            };
+            scheme.publish(v, h).expect("publish");
+            data.push((v, h));
+        }
+        for (q, &(lo, hi)) in ranges.iter().enumerate() {
+            let mut expected: Vec<u64> =
+                data.iter().filter(|&&(v, _)| v >= lo && v <= hi).map(|&(_, h)| h).collect();
+            expected.sort_unstable();
+            let origin = scheme.random_origin(&mut rng);
+            let out = scheme
+                .range_query(origin, lo, hi, q as u64)
+                .unwrap_or_else(|e| panic!("{name} [{lo}, {hi}]: {e}"));
+            assert_eq!(out.results, expected, "{name} disagrees with the oracle on [{lo}, {hi}]");
         }
     }
 }
